@@ -18,6 +18,12 @@ each against a faithful re-implementation of the seed (pre-arena) code:
   pre-grad-arena behaviour).  Grad arena: one ``grad_flat.fill(0.0)``,
   backward accumulates straight into the flat vector, and the fused step
   adopts it zero-copy — no gather, no per-step allocation.
+* **conv kernels** — ``im2col`` + ``col2im`` at the three vgg_mini conv
+  shapes and ``max_pool2d`` forward + backward at its three pool shapes.
+  Seed: CS231n fancy-index ``im2col``, ``np.add.at`` ``col2im`` and the
+  reduce-then-``put_along_axis`` max-pool.  Current: strided window
+  views, per-offset slice accumulation and an offset-major window copy.
+  Every output is asserted bitwise equal (int64 views).
 * **one full HADFL round** — ``HADFLTrainer`` on a tiny cluster, stock
   vs devices patched back onto the seed codec path with fused kernels
   disabled.  Also checks the fixed-seed loss trajectories are identical,
@@ -38,6 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.autograd import Tensor
+from repro.autograd.ops import _conv_output_size, col2im, im2col, max_pool2d
 from repro.comm.params import ParamArena
 from repro.core.config import HADFLParams
 from repro.core.trainer import HADFLTrainer
@@ -108,6 +116,76 @@ def seed_adam_step(params, lr, beta1, beta2, eps, state):
         m_hat = m / (1 - beta1**t)
         v_hat = v / (1 - beta2**t)
         param.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+# --------------------------------------------------------------------- #
+# Seed conv/pool kernels, replicated verbatim from the index-arithmetic
+# ``repro.autograd.ops`` (fancy-index im2col, ``np.add.at`` col2im,
+# reduce-then-``put_along_axis`` max-pool).  Also the bitwise reference of
+# ``tests/property/test_property_conv_kernels.py``.
+# --------------------------------------------------------------------- #
+def seed_im2col_indices(x_shape, kh, kw, stride, padding):
+    _, channels, height, width = x_shape
+    out_h = _conv_output_size(height, kh, stride, padding)
+    out_w = _conv_output_size(width, kw, stride, padding)
+
+    i0 = np.repeat(np.arange(kh), kw)
+    i0 = np.tile(i0, channels)
+    i1 = stride * np.repeat(np.arange(out_h), out_w)
+    j0 = np.tile(np.arange(kw), kh * channels)
+    j1 = stride * np.tile(np.arange(out_w), out_h)
+    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
+    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
+    k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
+    return (k, i, j), out_h, out_w
+
+
+def seed_im2col(x, kh, kw, stride, padding):
+    if padding > 0:
+        x = np.pad(
+            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
+        )
+    (k, i, j), _, _ = seed_im2col_indices(
+        (x.shape[0], x.shape[1], x.shape[2] - 2 * padding, x.shape[3] - 2 * padding)
+        if padding
+        else x.shape,
+        kh,
+        kw,
+        stride,
+        padding,
+    )
+    cols = x[:, k, i, j]  # (N, C*kh*kw, out_h*out_w)
+    return cols.transpose(1, 2, 0).reshape(kh * kw * x.shape[1], -1)
+
+
+def seed_col2im(cols, x_shape, kh, kw, stride, padding):
+    n, channels, height, width = x_shape
+    padded_h, padded_w = height + 2 * padding, width + 2 * padding
+    x_padded = np.zeros((n, channels, padded_h, padded_w), dtype=cols.dtype)
+    (k, i, j), out_h, out_w = seed_im2col_indices(x_shape, kh, kw, stride, padding)
+    cols_reshaped = cols.reshape(channels * kh * kw, out_h * out_w, n).transpose(2, 0, 1)
+    np.add.at(x_padded, (slice(None), k, i, j), cols_reshaped)
+    if padding == 0:
+        return x_padded
+    return x_padded[:, :, padding:-padding, padding:-padding]
+
+
+def seed_max_pool2d(x, kernel=2):
+    n, c, h, w = x.shape
+    oh, ow = h // kernel, w // kernel
+    reshaped = x.data.reshape(n, c, oh, kernel, ow, kernel)
+    out = reshaped.max(axis=(3, 5))
+    windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, kernel * kernel)
+    first = np.zeros_like(windows)
+    idx = windows.argmax(axis=-1)
+    np.put_along_axis(first, idx[..., None], 1.0, axis=-1)
+    first = first.reshape(n, c, oh, ow, kernel, kernel).transpose(0, 1, 2, 4, 3, 5)
+
+    def backward(g):
+        g = np.asarray(g)[:, :, :, None, :, None]
+        x._accumulate((first * g).reshape(n, c, h, w))
+
+    return Tensor._make(out, (x,), backward)
 
 
 @contextmanager
@@ -381,6 +459,60 @@ def bench_grad_path(repeats: int, inner: int) -> dict:
     }
 
 
+def bits_equal(a, b) -> bool:
+    """Shape and every bit equal (``-0.0 != 0.0``)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# vgg_mini at the paper workload's batch 16 on 8 px images.
+VGG_MINI_CONV_SHAPES = ((16, 3, 8, 8, 8), (16, 8, 4, 4, 16), (16, 16, 2, 2, 32))
+VGG_MINI_POOL_SHAPES = ((16, 8, 8, 8), (16, 16, 4, 4), (16, 32, 2, 2))
+
+
+def bench_conv(repeats: int, inner: int) -> dict:
+    """One step's conv/pool kernel calls: seed index kernels vs current."""
+    rng = np.random.default_rng(8)
+    convs = []
+    for n, c_in, h, w, c_out in VGG_MINI_CONV_SHAPES:
+        x = rng.normal(size=(n, c_in, h, w))
+        x = x * (x > 0)  # ReLU-style input: signed zeros
+        cols = rng.normal(size=(c_in * 9, h * w * n))
+        convs.append((x, cols))
+    pools = []
+    for shape in VGG_MINI_POOL_SHAPES:
+        x = rng.normal(size=shape)
+        g = rng.normal(size=(shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+        pools.append((x * (x > 0), g))
+
+    def step(unfold, fold, pool):
+        outputs = []
+        for x, cols in convs:
+            outputs.append(unfold(x, 3, 3, 1, 1))
+            outputs.append(fold(cols, x.shape, 3, 3, 1, 1))
+        for x, g in pools:
+            t = Tensor(x, requires_grad=True)
+            out = pool(t, 2)
+            out.backward(g)
+            outputs.extend((out.data, t.grad))
+        return outputs
+
+    seed_args = (seed_im2col, seed_col2im, seed_max_pool2d)
+    kernel_args = (im2col, col2im, max_pool2d)
+    equal = all(
+        bits_equal(a, b) for a, b in zip(step(*seed_args), step(*kernel_args))
+    )
+    assert equal, "conv/pool kernels diverged bitwise from the seed kernels"
+    seed_s = _best_of(lambda: step(*seed_args), repeats, inner)
+    kernel_s = _best_of(lambda: step(*kernel_args), repeats, inner)
+    return {
+        "seed_s": seed_s,
+        "kernel_s": kernel_s,
+        "speedup": seed_s / kernel_s,
+        "bitwise_equal": equal,
+    }
+
+
 def _make_cluster(seed=3):
     train, test = synthetic_cifar10(
         num_train=192, num_test=96, image_size=8, seed=seed
@@ -438,6 +570,7 @@ def run(repeats: int = None) -> dict:
         "sgd_step": bench_sgd(repeats, inner),
         "adam_step": bench_adam(repeats, inner),
         "grad_path": bench_grad_path(repeats, inner),
+        "conv_kernels": bench_conv(repeats, inner),
         "hadfl_round": bench_hadfl_round(),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -453,7 +586,7 @@ def main() -> dict:
             f"{name:18s} speedup {entry['speedup']:6.2f}x  "
             + "  ".join(
                 f"{k}={entry[k]:.3e}"
-                for k in ("seed_s", "arena_s", "fused_s")
+                for k in ("seed_s", "arena_s", "fused_s", "kernel_s")
                 if k in entry
             )
         )

@@ -16,7 +16,7 @@ from repro.autograd.tensor import Tensor, as_tensor, unbroadcast
 
 
 # --------------------------------------------------------------------- #
-# im2col / col2im machinery (CS231n-style index arithmetic)
+# im2col / col2im machinery (strided window views, no index arithmetic)
 # --------------------------------------------------------------------- #
 def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     out = (size + 2 * padding - kernel) // stride + 1
@@ -28,41 +28,23 @@ def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _im2col_indices(
-    x_shape: Tuple[int, int, int, int], kh: int, kw: int, stride: int, padding: int
-):
-    _, channels, height, width = x_shape
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """Unfold ``x`` (N,C,H,W) into columns of shape (C*kh*kw, out_h*out_w*N).
+
+    ``x`` is padded into a zeroed batch-minor (C, Hp, Wp, N) buffer whose
+    strided window view is copied once into the C-contiguous column layout.
+    """
+    n, channels, height, width = x.shape
     out_h = _conv_output_size(height, kh, stride, padding)
     out_w = _conv_output_size(width, kw, stride, padding)
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
-    return (k, i, j), out_h, out_w
-
-
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold ``x`` (N,C,H,W) into columns of shape (C*kh*kw, out_h*out_w*N)."""
-    if padding > 0:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-    (k, i, j), _, _ = _im2col_indices(
-        (x.shape[0], x.shape[1], x.shape[2] - 2 * padding, x.shape[3] - 2 * padding)
-        if padding
-        else x.shape,
-        kh,
-        kw,
-        stride,
-        padding,
-    )
-    cols = x[:, k, i, j]  # (N, C*kh*kw, out_h*out_w)
-    return cols.transpose(1, 2, 0).reshape(kh * kw * x.shape[1], -1)
+    hp, wp = height + 2 * padding, width + 2 * padding
+    padded = np.zeros((channels, hp, wp, n), dtype=x.dtype)
+    padded[:, padding : hp - padding, padding : wp - padding] = x.transpose(1, 2, 3, 0)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    windows = windows[:, : stride * out_h : stride, : stride * out_w : stride]
+    # (C, out_h, out_w, N, kh, kw) -> (C, kh, kw, out_h, out_w, N)
+    cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(channels * kh * kw, -1)
+    return np.ascontiguousarray(cols)
 
 
 def col2im(
@@ -73,16 +55,26 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col` — scatter-add columns back to (N,C,H,W)."""
+    """Adjoint of :func:`im2col` — sum columns back to (N,C,H,W).
+
+    Adds one kernel offset at a time, as a strided slice ``+=`` into a
+    zeroed (C, Hp, Wp, N) buffer, in ``(di, dj)`` row-major order.  That
+    is the order in which ``np.add.at`` over the im2col index arrays adds
+    each pixel's contributions, so the sums (signed zeros included) are
+    bitwise equal to that scatter.  The result is C-contiguous.
+    """
     n, channels, height, width = x_shape
-    padded_h, padded_w = height + 2 * padding, width + 2 * padding
-    x_padded = np.zeros((n, channels, padded_h, padded_w), dtype=cols.dtype)
-    (k, i, j), out_h, out_w = _im2col_indices(x_shape, kh, kw, stride, padding)
-    cols_reshaped = cols.reshape(channels * kh * kw, out_h * out_w, n).transpose(2, 0, 1)
-    np.add.at(x_padded, (slice(None), k, i, j), cols_reshaped)
-    if padding == 0:
-        return x_padded
-    return x_padded[:, :, padding:-padding, padding:-padding]
+    out_h = _conv_output_size(height, kh, stride, padding)
+    out_w = _conv_output_size(width, kw, stride, padding)
+    blocks = cols.reshape(channels, kh, kw, out_h, out_w, n)
+    hp, wp = height + 2 * padding, width + 2 * padding
+    padded = np.zeros((channels, hp, wp, n), dtype=cols.dtype)
+    for di, dj in np.ndindex(kh, kw):
+        padded[
+            :, di : di + stride * out_h : stride, dj : dj + stride * out_w : stride
+        ] += blocks[:, di, dj]
+    inner = padded[:, padding : hp - padding, padding : wp - padding]
+    return np.ascontiguousarray(inner.transpose(3, 0, 1, 2))
 
 
 # --------------------------------------------------------------------- #
@@ -149,7 +141,7 @@ def fleet_conv2d(
     replica (the stacked-evaluation path).  Output: (D, N, C_out, H_out,
     W_out).
 
-    Each replica's slice goes through the *same* im2col index arithmetic
+    Each replica's slice goes through the *same* im2col unfold
     and GEMM as :func:`conv2d`; the batch is realised as one
     ``np.matmul`` over the leading axis, which computes per-slice — so
     results are bitwise identical to looping :func:`conv2d` per replica.
@@ -272,26 +264,28 @@ def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
     """Non-overlapping max pooling (stride == kernel).
 
     The model zoo uses 2x2/stride-2 pooling exclusively (as ResNet/VGG do),
-    so only the non-overlapping case is implemented; it admits a fast
-    reshape-based kernel.
+    so only the non-overlapping case is implemented.  ``windows`` holds
+    offset ``(di, dj)`` of every window in row ``di*kernel + dj``, and
+    ``max(axis=0)`` folds those rows in that (row-major) order — the fold
+    a strided ``axis=(3, 5)`` reduction performs on C-contiguous input with
+    kernel < 8 — so the maxima match it bit for bit, zero signs included.
+    At ``ow == 1`` that reduction runs NumPy's contiguous loop instead and
+    is called directly.  The gradient goes to the first maximum in the
+    same order (``argmax``, the cuDNN/PyTorch tie-break); the other
+    elements receive ``0.0 * g``.
     """
     x = as_tensor(x)
     n, c, h, w = x.shape
     _check_pool_shape(h, w, kernel)
     oh, ow = h // kernel, w // kernel
     reshaped = x.data.reshape(n, c, oh, kernel, ow, kernel)
-    out = reshaped.max(axis=(3, 5))
-    # Route gradients to exactly one (the first) max per window, matching
-    # the deterministic tie-breaking of cuDNN/PyTorch pooling.
-    windows = reshaped.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, kernel * kernel)
-    first = np.zeros_like(windows)
-    idx = windows.argmax(axis=-1)
-    np.put_along_axis(first, idx[..., None], 1.0, axis=-1)
-    first = first.reshape(n, c, oh, ow, kernel, kernel).transpose(0, 1, 2, 4, 3, 5)
+    windows = reshaped.transpose(3, 5, 0, 1, 2, 4).reshape(-1, n, c, oh, ow)
+    out = reshaped.max(axis=(3, 5)) if ow == 1 else windows.max(axis=0)
+    first = np.arange(kernel * kernel).reshape(-1, 1, 1, 1, 1) == windows.argmax(axis=0)
 
     def backward(g: np.ndarray) -> None:
-        g = np.asarray(g)[:, :, :, None, :, None]
-        x._accumulate((first * g).reshape(n, c, h, w))
+        grad = (first * np.asarray(g)).reshape(kernel, kernel, n, c, oh, ow)
+        x._accumulate(grad.transpose(2, 3, 4, 0, 5, 1).reshape(n, c, h, w))
 
     return Tensor._make(out, (x,), backward)
 

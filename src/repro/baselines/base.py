@@ -129,6 +129,9 @@ class SchemeTrainer:
             round_index += 1
         if result.rounds and result.rounds[-1].test_accuracy is None:
             self.evaluate_global(result.rounds[-1])
+        # Same accounting snapshot as HADFLTrainer.run, so the byte
+        # conservation invariant is checkable for every scheme.
+        result.config["accounting"] = self.volume.snapshot()
         return result
 
     def _run_round(self, round_index: int) -> RoundRecord:

@@ -40,7 +40,7 @@ from repro.experiments import (
     run_table1,
 )
 from repro.experiments.population import PopulationConfig, run_population
-from repro.experiments.runner import SCHEMES
+from repro.experiments.runner import RUNNABLE_SCHEMES
 from repro.comm.wire import available_wire_formats, get_wire_format
 from repro.metrics import ascii_plot, comparison_table, series_from_results
 from repro.nn.models import available_models
@@ -236,7 +236,7 @@ def _check_accounting(result) -> str:
     """
     accounting = result.config.get("accounting")
     if accounting is None:
-        raise SystemExit("no accounting snapshot in result (non-HADFL scheme?)")
+        raise SystemExit("no accounting snapshot in result")
     total = accounting["total_bytes"]
     initial = accounting["bytes_by_kind"].get("initial_dispatch", 0)
     per_round = sum(record.comm_bytes for record in result.rounds)
@@ -256,7 +256,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
     print(f"repro {repro.__version__} — HADFL reproduction (DAC 2021)")
     print(f"models    : {', '.join(available_models())}")
-    print(f"schemes   : {', '.join(SCHEMES)}")
+    print(f"schemes   : {', '.join(RUNNABLE_SCHEMES)}")
     print("selection : gaussian_quartile, uniform, latest, worst")
     print("executors : serial, thread, process, fleet")
     print(
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(handler=_cmd_info)
 
     run = subparsers.add_parser("run", help="train one scheme")
-    run.add_argument("--scheme", default="hadfl", choices=SCHEMES)
+    run.add_argument("--scheme", default="hadfl", choices=RUNNABLE_SCHEMES)
     _add_config_arguments(run)
     run.set_defaults(handler=_cmd_run)
 

@@ -12,6 +12,7 @@ from repro.experiments.configs import (
     specs_from_power_ratio,
 )
 from repro.experiments.runner import (
+    RUNNABLE_SCHEMES,
     SCHEMES,
     average_results,
     run_all_schemes,
@@ -44,6 +45,7 @@ __all__ = [
     "HETEROGENEITY_4221",
     "specs_from_power_ratio",
     "SCHEMES",
+    "RUNNABLE_SCHEMES",
     "run_scheme",
     "run_all_schemes",
     "average_results",

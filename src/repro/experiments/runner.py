@@ -6,7 +6,11 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.baselines import DecentralizedFedAvgTrainer, DistributedTrainer
+from repro.baselines import (
+    CentralizedFedAvgTrainer,
+    DecentralizedFedAvgTrainer,
+    DistributedTrainer,
+)
 from repro.core import HADFLParams, HADFLTrainer
 from repro.core.selection import SelectionPolicy
 from repro.experiments.configs import ExperimentConfig
@@ -14,6 +18,10 @@ from repro.metrics.records import RoundRecord, RunResult
 from repro.sim.failures import FailureInjector
 
 SCHEMES = ("distributed", "decentralized_fedavg", "hadfl")
+"""The paper's measured comparison (``run_all_schemes`` / ``compare``)."""
+RUNNABLE_SCHEMES = SCHEMES + ("central_fedavg",)
+"""Everything :func:`run_scheme` accepts: the paper's three plus the
+Sec. II-B parameter-server FedAvg reference."""
 
 
 def run_scheme(
@@ -42,6 +50,12 @@ def run_scheme(
             local_steps=config.fedavg_local_steps,
             seed=config.seed + seed_offset,
         )
+    elif scheme == "central_fedavg":
+        trainer = CentralizedFedAvgTrainer(
+            cluster,
+            local_steps=config.fedavg_local_steps,
+            seed=config.seed + seed_offset,
+        )
     elif scheme == "hadfl":
         trainer = HADFLTrainer(
             cluster,
@@ -50,7 +64,7 @@ def run_scheme(
             seed=config.seed + seed_offset,
         )
     else:
-        raise KeyError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+        raise KeyError(f"unknown scheme {scheme!r}; choose from {RUNNABLE_SCHEMES}")
     try:
         return trainer.run(
             target_epochs=config.target_epochs, eval_every=config.eval_every

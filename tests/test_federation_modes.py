@@ -31,6 +31,8 @@ from repro.sim.rounds import RoundEngine
 GOLDEN_PATH = Path(__file__).parent / "golden" / "sync_parity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
+# The fixture's "blas" record (OpenBLAS core type and thread count of the
+# capture host) is not checked here; CI's golden job pins and asserts it.
 requires_golden_numpy = pytest.mark.skipif(
     np.version.version != GOLDEN["numpy"],
     reason=(
@@ -94,8 +96,16 @@ def _assert_accounting_invariant(result):
 @requires_golden_numpy
 class TestSyncParity:
     def test_hadfl_bitwise_matches_pre_refactor(self):
-        config = _hadfl_config()
-        golden = GOLDEN["hadfl"]
+        self._assert_hadfl_matches(_hadfl_config(), GOLDEN["hadfl"])
+
+    def test_hadfl_vgg_mini_bitwise_matches_golden(self):
+        # Pins the conv path (im2col/col2im, max-pool routing, BatchNorm)
+        # bitwise; the default-model entries above only reach the MLP.
+        config = _hadfl_config(model="vgg_mini", target_epochs=6.0, momentum=0.9)
+        self._assert_hadfl_matches(config, GOLDEN["hadfl_vgg_mini"])
+
+    @staticmethod
+    def _assert_hadfl_matches(config, golden):
         cluster = config.make_cluster()
         trainer = HADFLTrainer(
             cluster, params=config.hadfl_params(), seed=config.seed

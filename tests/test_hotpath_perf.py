@@ -78,4 +78,8 @@ class TestHotpathBench:
         assert results["grad_path"]["speedup"] > 1.2
         assert results["grad_path"]["losses_bitwise_equal"]
         assert results["hadfl_round"]["losses_bitwise_equal"]
+        # Strided conv/pool kernels: bitwise equal to the seed index
+        # kernels and clearly faster at vgg_mini shapes.
+        assert results["conv_kernels"]["bitwise_equal"]
+        assert results["conv_kernels"]["speedup"] > 1.5
         assert (tmp_path / "hotpath.json").exists()

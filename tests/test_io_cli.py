@@ -185,6 +185,24 @@ class TestCentralizedFedAvg:
         with pytest.raises(ValueError):
             CentralizedFedAvgTrainer(_tiny_config().make_cluster(), local_steps=0)
 
+    def test_reachable_through_run_scheme(self):
+        config = _tiny_config()
+        result = run_scheme("central_fedavg", config)
+        assert result.scheme == "centralized_fedavg"
+        assert result.rounds and result.best_accuracy() > 0.3
+        # Byte conservation: per-round bytes plus the initial dispatch
+        # add up to the accountant's total.
+        snapshot = result.config["accounting"]
+        initial = snapshot["bytes_by_kind"].get("initial_dispatch", 0)
+        total = sum(r.comm_bytes for r in result.rounds) + initial
+        assert total == snapshot["total_bytes"]
+
+    def test_paper_comparison_excludes_central_fedavg(self):
+        from repro.experiments import RUNNABLE_SCHEMES, SCHEMES
+
+        assert "central_fedavg" in RUNNABLE_SCHEMES
+        assert "central_fedavg" not in SCHEMES
+
 
 class TestCLI:
     def test_info(self, capsys):
@@ -245,6 +263,17 @@ class TestCLI:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--ratio", "3,oops"])
+
+    def test_run_central_fedavg(self, capsys):
+        code = main(
+            [
+                "run", "--scheme", "central_fedavg", "--model", "mlp",
+                "--train", "160", "--test", "80", "--epochs", "2",
+                "--verify-accounting",
+            ]
+        )
+        assert code == 0
+        assert "best accuracy" in capsys.readouterr().out
 
     def test_bad_scheme_rejected(self):
         parser = build_parser()
