@@ -34,7 +34,7 @@ def _run():
         "hadfl": hadfl,
         "distributed": dist,
         "decentralized_fedavg": fedavg,
-        "centralized_fedavg": central,
+        "central_fedavg": central,
     }
 
 
@@ -95,5 +95,5 @@ def test_comm_volume(benchmark):
 
     # Centralised reference: the server moved exactly 2KM per round
     # (Sec. II-B's arithmetic, measured on a running implementation).
-    rounds = len(results["centralized_fedavg"].rounds)
+    rounds = len(results["central_fedavg"].rounds)
     assert central_trainer.server_bytes == rounds * int(device_volume(m, k))

@@ -59,7 +59,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 # --------------------------------------------------------------------- #
 # Seed (pre-arena) reference implementations, replicated verbatim from
-# the original ``FlatParamCodec``/optimizer code paths.
+# the original copy-based flatten/unflatten and optimizer code paths.
 # --------------------------------------------------------------------- #
 
 

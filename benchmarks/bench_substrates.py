@@ -1,7 +1,7 @@
 """Substrate micro-benchmarks: the building blocks under the experiments.
 
 Classic pytest-benchmark timing of the hot paths — ring all-reduce,
-conv2d forward/backward, the event engine, parameter codec — so substrate
+conv2d forward/backward, the event engine, the parameter arena — so substrate
 regressions are visible independently of the end-to-end runs.
 """
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, conv2d, softmax_cross_entropy
-from repro.comm import FlatParamCodec, ring_allreduce
+from repro.comm import ParamArena, ring_allreduce
 from repro.nn import models
 from repro.sim import Simulator
 
@@ -74,12 +74,12 @@ def test_event_engine_throughput(benchmark):
     assert benchmark(run) == 5000
 
 
-def test_param_codec_roundtrip(benchmark):
+def test_param_arena_roundtrip(benchmark):
     model = models.resnet_mini(base_channels=16, rng=np.random.default_rng(0))
-    codec = FlatParamCodec(model)
+    arena = ParamArena(model)
 
     def roundtrip():
-        codec.unflatten(model, codec.flatten(model))
+        arena.write(arena.snapshot())
 
     benchmark(roundtrip)
 

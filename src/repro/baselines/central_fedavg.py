@@ -37,7 +37,7 @@ class CentralizedFedAvgTrainer(SchemeTrainer):
         Identity used in volume accounting for the server endpoint.
     """
 
-    scheme_name = "centralized_fedavg"
+    scheme_name = "central_fedavg"
     SERVER_ID = -1
 
     def __init__(

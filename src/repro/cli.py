@@ -44,6 +44,7 @@ from repro.experiments.runner import RUNNABLE_SCHEMES
 from repro.comm.wire import available_wire_formats, get_wire_format
 from repro.metrics import ascii_plot, comparison_table, series_from_results
 from repro.nn.models import available_models
+from repro.sim.executor import EXECUTOR_NAMES
 
 
 def _parse_ratio(text: str) -> tuple:
@@ -91,7 +92,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor",
         default="serial",
-        choices=("serial", "thread", "process", "fleet"),
+        choices=EXECUTOR_NAMES,
         help="local-training backend (bitwise-identical trajectories; "
         "process uses forked workers + shared memory, fleet batches "
         "replicas through vectorised kernels)",
@@ -100,7 +101,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the thread/process executor "
+        help="worker count for the process executor "
         "(default: one per device, capped at CPU count)",
     )
     parser.add_argument(
@@ -258,7 +259,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"models    : {', '.join(available_models())}")
     print(f"schemes   : {', '.join(RUNNABLE_SCHEMES)}")
     print("selection : gaussian_quartile, uniform, latest, worst")
-    print("executors : serial, thread, process, fleet")
+    print(f"executors : {', '.join(EXECUTOR_NAMES)}")
     print(
         f"wire      : {', '.join(available_wire_formats())} "
         "(+ topk<frac> / qsgd<bits> families)"
@@ -440,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate the global model every N rounds (0: final only)",
     )
     population.add_argument(
-        "--executor", default="serial", choices=("serial", "thread", "fleet"),
+        "--executor", default="serial", choices=("serial", "fleet"),
         help="local-training backend (process needs a full device list "
         "and is not supported for virtual populations)",
     )

@@ -1,40 +1,31 @@
-"""Model state ⇄ flat vector codec, and the flat parameter arena.
+"""The flat parameter arena: one contiguous fp64 vector per model replica.
 
 Federated aggregation operates on flat float vectors: every scheme
 (FedAvg Eq. 4, HADFL Eq. 5, ring all-reduce) averages the *entire* model
-state.  Buffers (BatchNorm running stats) are included by default, the
-standard choice in FedAvg implementations — controlled by
-``include_buffers`` for ablation.
+state, buffers (BatchNorm running stats) included — the standard choice
+in FedAvg implementations.
 
-Two representations are provided:
+* :class:`ParamArena` — every ``Parameter.data`` and registered buffer
+  is rebound to a reshaped *view* into one contiguous vector, so reading
+  the whole model state is a read of one array, writing it is a single
+  vectorized ``flat[:] = incoming``, and blending is a fused
+  ``flat *= w; flat += (1-w) * incoming``.  The simulator's sync path
+  (``Device.get_params``/``set_params``/``mix_params``) and the
+  cluster's evaluation replica run entirely on arenas.
+* :class:`FleetArena` — D member arenas migrated onto the rows of one
+  ``(D, n)`` matrix for the replica-batched fleet executor.
 
-* :class:`FlatParamCodec` — the original copy-based codec.  It caches a
-  module's layout at construction so repeated (de)flattening avoids the
-  layout scan, and its writes are *in place* (existing parameter/buffer
-  storage is overwritten, never rebound).
-* :class:`ParamArena` — one contiguous fp64 vector per model replica.
-  Every ``Parameter.data`` and registered buffer is rebound to a reshaped
-  *view* into the arena, so reading the whole model state is a read of
-  one array, writing it is a single vectorized ``flat[:] = incoming``,
-  and blending is a fused ``flat *= w; flat += (1-w) * incoming``.  The
-  simulator's sync path (``Device.get_params``/``set_params``/
-  ``mix_params``) runs entirely on the arena.
-
-The codec also defines the wire size of a model (``nbytes`` /
-``nbytes_for``), which the network model uses to price transfers: the
-paper's communication-volume arithmetic (``2·K·M``) is in terms of this
-M.  The bytes-per-scalar width comes from the selected
-:class:`~repro.comm.wire.WireFormat` (fp64 default: 8 B/scalar), the same
-codec that casts every simulated payload.
+The wire size of a model (the paper's M in the ``2·K·M`` arithmetic) is
+priced by the selected :class:`~repro.comm.wire.WireFormat`
+(``payload_nbytes``), the same codec that casts every simulated payload.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.wire import WireSpec, get_wire_format
 from repro.nn.module import Module, Parameter
 
 
@@ -66,9 +57,8 @@ class ParamArena:
     through every parameter.
 
     One arena per module: constructing a second arena rebinds the module
-    away from the first.  ``include_buffers=False`` leaves buffers on
-    their own storage (parameters still occupy the arena prefix in
-    ``named_parameters`` order).
+    away from the first.  Parameters occupy the arena prefix in
+    ``named_parameters`` order, buffers follow.
 
     **Grad arena** (``bind_grads=True``, the default): the arena also
     owns one contiguous fp64 gradient vector ``grad_flat`` with the same
@@ -83,18 +73,12 @@ class ParamArena:
     accumulation), used by the seed-emulation benchmarks.
     """
 
-    def __init__(
-        self,
-        module: Module,
-        include_buffers: bool = True,
-        bind_grads: bool = True,
-    ) -> None:
+    def __init__(self, module: Module, bind_grads: bool = True) -> None:
         self.module = module
-        self.include_buffers = include_buffers
         self._layout: Optional[Tuple[ArenaSlot, ...]] = None
         params = list(module.named_parameters())
-        buffers = list(module.named_buffers()) if include_buffers else []
-        owners = module._buffer_owners() if include_buffers else {}
+        buffers = list(module.named_buffers())
+        owners = module._buffer_owners()
         self.param_scalars = sum(int(p.data.size) for _, p in params)
         self.num_scalars = self.param_scalars + sum(int(b.size) for _, b in buffers)
         self.flat = np.empty(self.num_scalars, dtype=np.float64)
@@ -143,11 +127,6 @@ class ParamArena:
     def params_flat(self) -> np.ndarray:
         """View of the arena prefix holding all parameters (no buffers)."""
         return self.flat[: self.param_scalars]
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size of one model copy (the paper's M) on the default wire."""
-        return get_wire_format().nbytes(self.num_scalars)
 
     def ensure_bound(self) -> None:
         """Re-establish view aliasing if external code rebound a slot.
@@ -209,11 +188,10 @@ class ParamArena:
             size = int(param.data.size)
             slots.append(ArenaSlot(name, cursor, size, param.data.shape, True))
             cursor += size
-        if self.include_buffers:
-            for name, buf in self.module.named_buffers():
-                size = int(buf.size)
-                slots.append(ArenaSlot(name, cursor, size, buf.shape, False))
-                cursor += size
+        for name, buf in self.module.named_buffers():
+            size = int(buf.size)
+            slots.append(ArenaSlot(name, cursor, size, buf.shape, False))
+            cursor += size
         self._layout = tuple(slots)
         return self._layout
 
@@ -324,16 +302,6 @@ class ParamArena:
         self.ensure_bound()
         out.reshape(-1)[:] = self.flat
 
-    def write_params(self, flat: np.ndarray) -> None:
-        """Vectorized write of the parameter prefix only (no buffers)."""
-        flat = np.asarray(flat)
-        if flat.size != self.param_scalars:
-            raise ValueError(
-                f"flat vector has {flat.size} scalars, expected {self.param_scalars}"
-            )
-        self.ensure_bound()
-        self.params_flat[:] = flat.reshape(-1)
-
     def mix(self, incoming: np.ndarray, own_weight: float) -> None:
         """Fused blend: ``flat *= w; flat += (1-w) * incoming``.
 
@@ -418,11 +386,6 @@ class FleetArena:
     def num_replicas(self) -> int:
         return len(self.arenas)
 
-    def param_stack(self, count: Optional[int] = None) -> np.ndarray:
-        """The parameter prefix of the first ``count`` rows (a view)."""
-        count = len(self.arenas) if count is None else count
-        return self.stack[:count, : self.param_scalars]
-
     def release(self) -> None:
         """Migrate every member back onto private per-device storage."""
         for arena in self.arenas:
@@ -434,176 +397,3 @@ class FleetArena:
             )
             arena.rebind_storage(flat, grad)
 
-
-class FlatParamCodec:
-    """Caches a module's parameter/buffer layout for fast (de)flattening.
-
-    The layout — and direct references to the construction module's
-    parameters and buffer owners — is captured once at construction, so
-    ``flatten``/``unflatten`` on that module never re-walk the tree.
-    When the construction module is backed by a :class:`ParamArena`, both
-    directions collapse to a single vectorized copy.  A codec may still
-    be applied to a *different* (architecture-identical) module; that
-    generic path walks the tree but also writes in place.
-    """
-
-    def __init__(self, module: Module, include_buffers: bool = True) -> None:
-        self.include_buffers = include_buffers
-        self._module = module
-        params = list(module.named_parameters())
-        self._param_shapes: List[Tuple[str, Tuple[int, ...]]] = [
-            (name, param.shape) for name, param in params
-        ]
-        self._bound_params: List[Parameter] = [param for _, param in params]
-        if include_buffers:
-            owners = module._buffer_owners()
-            buffers = list(module.named_buffers())
-            self._buffer_shapes: List[Tuple[str, Tuple[int, ...]]] = [
-                (name, buf.shape) for name, buf in buffers
-            ]
-            self._bound_buffers: List[Tuple[Module, str]] = [
-                owners[name] for name, _ in buffers
-            ]
-        else:
-            self._buffer_shapes = []
-            self._bound_buffers = []
-        self._param_scalars = sum(
-            int(np.prod(shape)) for _, shape in self._param_shapes
-        )
-        self.num_scalars = self._param_scalars + sum(
-            int(np.prod(shape)) for _, shape in self._buffer_shapes
-        )
-
-    @property
-    def nbytes(self) -> int:
-        """Wire size of one model copy (the paper's M) on the default wire."""
-        return get_wire_format().nbytes(self.num_scalars)
-
-    def nbytes_for(self, wire: WireSpec) -> int:
-        """Wire size of one model copy under a specific wire format."""
-        return get_wire_format(wire).nbytes(self.num_scalars)
-
-    # ------------------------------------------------------------------ #
-    def _arena_for(self, module: Module) -> Optional[ParamArena]:
-        """The module's arena, when it can serve this codec's layout."""
-        if module is not self._module:
-            return None
-        arena = module.arena
-        if arena is None or not arena.include_buffers:
-            return None
-        if self.include_buffers:
-            return arena if arena.num_scalars == self.num_scalars else None
-        return arena if arena.param_scalars == self.num_scalars else None
-
-    def flatten(self, module: Module) -> np.ndarray:
-        """Concatenate all parameters (and buffers) into one fp64 vector."""
-        arena = self._arena_for(module)
-        if arena is not None:
-            if self.include_buffers:
-                return arena.snapshot()
-            arena.ensure_bound()
-            return arena.params_flat.copy()
-        if module is self._module:
-            chunks = [param.data.reshape(-1) for param in self._bound_params]
-            chunks.extend(
-                owner._buffers[local].reshape(-1)
-                for owner, local in self._bound_buffers
-            )
-        else:
-            chunks = [
-                param.data.reshape(-1) for _, param in module.named_parameters()
-            ]
-            if self.include_buffers:
-                chunks.extend(buf.reshape(-1) for _, buf in module.named_buffers())
-        flat = np.concatenate(chunks) if chunks else np.empty(0)
-        if flat.size != self.num_scalars:
-            raise ValueError(
-                f"model layout changed: expected {self.num_scalars} scalars, "
-                f"got {flat.size}"
-            )
-        return flat
-
-    def unflatten(self, module: Module, flat: np.ndarray) -> None:
-        """Write a flat vector back into the module's parameters/buffers.
-
-        Writes are in place: parameter and buffer storage keeps its
-        identity, so arena views (and any other aliases) observe the new
-        values.
-        """
-        flat = np.asarray(flat)
-        if flat.size != self.num_scalars:
-            raise ValueError(
-                f"flat vector has {flat.size} scalars, expected {self.num_scalars}"
-            )
-        arena = self._arena_for(module)
-        if arena is not None:
-            if self.include_buffers:
-                arena.write(flat)
-            else:
-                arena.write_params(flat)
-            return
-        cursor = 0
-        if module is self._module:
-            for param, (_, shape) in zip(self._bound_params, self._param_shapes):
-                size = int(np.prod(shape))
-                param.data[...] = flat[cursor : cursor + size].reshape(shape)
-                cursor += size
-            for (owner, local), (_, shape) in zip(
-                self._bound_buffers, self._buffer_shapes
-            ):
-                size = int(np.prod(shape))
-                owner.set_buffer(local, flat[cursor : cursor + size].reshape(shape))
-                cursor += size
-        else:
-            params = dict(module.named_parameters())
-            for name, shape in self._param_shapes:
-                size = int(np.prod(shape))
-                params[name].data[...] = flat[cursor : cursor + size].reshape(shape)
-                cursor += size
-            if self.include_buffers:
-                owners = module._buffer_owners()
-                for name, shape in self._buffer_shapes:
-                    size = int(np.prod(shape))
-                    owner, local = owners[name]
-                    owner.set_buffer(local, flat[cursor : cursor + size].reshape(shape))
-                    cursor += size
-
-
-# ---------------------------------------------------------------------- #
-# One-shot helpers: one cached codec per (module, include_buffers) —
-# repeated calls stop paying the layout-scan cost.  The cache assumes the
-# module's parameter/buffer layout is fixed after construction (true for
-# every model in this repo); registering new state afterwards requires a
-# fresh codec.
-# ---------------------------------------------------------------------- #
-
-
-def _cached_codec(module: Module, include_buffers: bool) -> FlatParamCodec:
-    cache: Dict[bool, FlatParamCodec] = module.__dict__.get("_codec_cache")
-    if cache is None:
-        cache = {}
-        object.__setattr__(module, "_codec_cache", cache)
-    codec = cache.get(include_buffers)
-    if codec is None:
-        codec = FlatParamCodec(module, include_buffers)
-        cache[include_buffers] = codec
-    return codec
-
-
-def get_flat_params(module: Module, include_buffers: bool = True) -> np.ndarray:
-    """One-shot flatten (cached codec per module)."""
-    return _cached_codec(module, include_buffers).flatten(module)
-
-
-def set_flat_params(
-    module: Module, flat: np.ndarray, include_buffers: bool = True
-) -> None:
-    """One-shot unflatten (cached codec per module)."""
-    _cached_codec(module, include_buffers).unflatten(module, flat)
-
-
-def model_nbytes(
-    module: Module, include_buffers: bool = True, wire: WireSpec = None
-) -> int:
-    """Wire size of a model's state in bytes under ``wire`` (default fp64)."""
-    return _cached_codec(module, include_buffers).nbytes_for(wire)

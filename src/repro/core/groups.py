@@ -21,13 +21,11 @@ import numpy as np
 from repro.comm.gossip import gossip_ring_exchange
 from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.comm.volume import CommVolumeAccountant
-from repro.comm.wire import get_wire_format
 from repro.core.config import HADFLParams
 from repro.core.coordinator import Coordinator
 from repro.metrics.records import RoundRecord, RunResult
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.engine import Simulator
-from repro.sim.network import align_network_granularity
 from repro.sim.trace import TraceRecorder
 
 
@@ -72,27 +70,16 @@ class GroupedHADFLTrainer:
             )
             for index in range(len(self.groups))
         ]
-        # Same wire-override semantics as HADFLTrainer: the cluster's
-        # wire unless the params name another; payload pricing and the
-        # time model's segment granularity follow the resolved wire.
-        if self.params.wire_dtype is None:
-            self.wire = cluster.wire
-        else:
-            self.wire = get_wire_format(self.params.wire_dtype)
-        self.model_nbytes = self.wire.payload_nbytes(cluster.initial_params)
-        self.network = align_network_granularity(cluster.network, self.wire)
-        if self.wire is not cluster.wire:
-            initial = np.asarray(cluster.initial_params)
-            payload, _ = self.wire.transmit_delta_with_error(initial, initial)
-            for device in cluster.devices:
-                device.set_params(payload)
+        self.wire = cluster.wire
+        self.model_nbytes = cluster.model_nbytes
+        self.network = cluster.network
         self.sync = FaultTolerantRingSync(
             self.network,
             wait_time=self.params.sync_wait_time,
             wire=self.wire,
         )
         self.sim = Simulator()
-        self.volume = CommVolumeAccountant()
+        self.volume = CommVolumeAccountant(mode=self.params.accounting)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6060]))
         self._group_params: List[np.ndarray] = [
@@ -151,6 +138,14 @@ class GroupedHADFLTrainer:
             },
         )
 
+        # Initial model dispatch: the cluster delivered the cast initial
+        # model to every device; charged as in HADFLTrainer.
+        self.volume.record(
+            self.sim.now,
+            self.model_nbytes * len(cluster.devices),
+            "initial_dispatch",
+        )
+
         # Mutual negotiation, per group.
         start = self.sim.now
         warmup = max(1, self.params.warmup_epochs)
@@ -180,6 +175,10 @@ class GroupedHADFLTrainer:
             loss, acc = cluster.evaluate_params(self.global_params)
             result.rounds[-1].test_loss = loss
             result.rounds[-1].test_accuracy = acc
+        # Same accounting snapshot as HADFLTrainer, so the invariant
+        # sum(round.comm_bytes) + initial_dispatch == total_bytes can be
+        # re-verified from the saved result.
+        result.config["accounting"] = self.volume.snapshot()
         return result
 
     # ------------------------------------------------------------------ #
@@ -189,7 +188,7 @@ class GroupedHADFLTrainer:
         losses: List[float] = []
         selected_all: List[int] = []
         bypasses = 0
-        round_bytes = 0
+        bytes_before = self.volume.total_bytes
         wire_cast_error = 0.0
         completions = [t_start]
 
@@ -226,7 +225,11 @@ class GroupedHADFLTrainer:
             )
             completions.append(sync_result.completion_time)
             bypasses += len(sync_result.bypasses)
-            round_bytes += sync_result.bytes_sent
+            self.volume.record(
+                sync_result.completion_time,
+                sync_result.bytes_sent,
+                "intra_group_sync",
+            )
             wire_cast_error = max(wire_cast_error, sync_result.max_cast_error)
 
             if sync_result.aggregated is not None:
@@ -246,7 +249,13 @@ class GroupedHADFLTrainer:
                         broadcast_payload,
                         own_weight=self.params.unselected_mix_weight,
                     )
-                    round_bytes += self.model_nbytes
+                    self.volume.record(
+                        sync_result.completion_time,
+                        self.model_nbytes,
+                        "broadcast",
+                        src=sync_result.survivors[0],
+                        dst=device_id,
+                    )
 
             coordinator.record_versions(
                 {d: cluster.device_by_id(d).version for d in available}
@@ -266,7 +275,6 @@ class GroupedHADFLTrainer:
                 self.model_nbytes, len(self.groups)
             )
             self.sim.advance_to(self.sim.now + inter_time)
-            round_bytes += stats.total_bytes
             wire_cast_error = max(wire_cast_error, stats.max_cast_error)
             self.volume.record(self.sim.now, stats.total_bytes, "inter_group_sync")
             merged_payload, _ = self.wire.transmit_delta_with_error(
@@ -291,7 +299,7 @@ class GroupedHADFLTrainer:
             train_loss=float(np.mean(losses)) if losses else float("nan"),
             selected=sorted(selected_all),
             versions={d.device_id: d.version for d in cluster.devices},
-            comm_bytes=round_bytes,
+            comm_bytes=self.volume.total_bytes - bytes_before,
             bypasses=bypasses,
             detail={
                 "wire_dtype": self.wire.name,

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.comm.volume import CommVolumeAccountant
-from repro.comm.wire import get_wire_format
 from repro.core.config import HADFLParams
 from repro.core.coordinator import Coordinator
 from repro.core.selection import SelectionPolicy
@@ -36,8 +35,6 @@ from repro.parallel.tasks import LocalTrainTask
 from repro.sim.cluster import SimulatedCluster
 from repro.sim.engine import Simulator
 from repro.sim.linkfaults import ReliableDelivery
-from repro.sim.network import align_network_granularity
-from repro.sim.executor import make_executor
 from repro.sim.rounds import RoundEngine, staleness_stats, staleness_weights
 from repro.sim.trace import TraceRecorder
 
@@ -74,16 +71,11 @@ class HADFLTrainer:
             selection=selection,
             seed=seed,
         )
-        # Wire format of every transfer this trainer performs: the
-        # cluster's unless the params override it.  Pricing follows the
-        # payloads — model bytes are re-derived, and the time model's
-        # segment granularity is re-aligned, under an override.
-        if self.params.wire_dtype is None:
-            self.wire = cluster.wire
-        else:
-            self.wire = get_wire_format(self.params.wire_dtype)
-        self.model_nbytes = self.wire.payload_nbytes(cluster.initial_params)
-        self.network = align_network_granularity(cluster.network, self.wire)
+        # Wire format, its payload-aware model size and the segment-aligned
+        # time model all come from the cluster.
+        self.wire = cluster.wire
+        self.model_nbytes = cluster.model_nbytes
+        self.network = cluster.network
         # Lossy-link model and retry policy come from the cluster (both
         # None by default — perfectly reliable links, zero overhead).
         link_faults = getattr(cluster, "link_faults", None)
@@ -101,16 +93,7 @@ class HADFLTrainer:
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.volume = CommVolumeAccountant(mode=self.params.accounting)
         self.sim = Simulator()
-        # Local-training backend: the cluster's executor unless the
-        # HADFL params override it (both are bitwise-identical to serial).
-        if self.params.executor is None:
-            self.executor = cluster.executor
-            self._owns_executor = False
-        else:
-            self.executor = make_executor(
-                self.params.executor, self.params.executor_workers
-            )
-            self._owns_executor = True
+        self.executor = cluster.executor
         # Arrival-ordered round scheduling: bursts still go through the
         # executor in one batch, but completions surface as events on the
         # shared simulator, in arrival order.
@@ -138,13 +121,6 @@ class HADFLTrainer:
         self._ref_epoch: Dict[int, int] = {d: 0 for d in cluster.device_ids}
         # Live-lock guard state for the skip_round degradation policy.
         self._consecutive_rollbacks = 0
-
-    def close(self) -> None:
-        """Release a params-override executor's workers (cluster-owned
-        executors are closed by ``cluster.close()``).  Idempotent; the
-        trainer stays usable — pools rebuild lazily."""
-        if self._owns_executor:
-            self.executor.close()
 
     # ------------------------------------------------------------------ #
     def _mutual_negotiation(self) -> Dict[int, float]:
@@ -209,16 +185,7 @@ class HADFLTrainer:
 
         # Initial model dispatch (step 2): coordinator → K devices, priced
         # as sequential full-model sends.  The cluster already delivered
-        # the cast initial model under its own wire; re-send only when
-        # this trainer's wire differs, so devices start from what *this*
-        # wire lets through.  Every replica was constructed with the
-        # identical initial model, so it doubles as the delta reference
-        # (sparsifying formats ship an empty delta — exact delivery).
-        if self.wire is not cluster.wire:
-            initial = np.asarray(cluster.initial_params)
-            payload, _ = self.wire.transmit_delta_with_error(initial, initial)
-            for device in cluster.devices:
-                device.set_params(payload)
+        # the cast initial model under its wire.
         dispatch = self.network.sequential_sends_time(
             self.model_nbytes, len(cluster.devices)
         )

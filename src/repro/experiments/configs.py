@@ -126,7 +126,7 @@ class ExperimentConfig:
     seed: int = 0
     fedavg_local_steps: Optional[int] = None
 
-    # Execution backend, "serial"/"thread"/"process"/"fleet"
+    # Execution backend, "serial"/"process"/"fleet"
     # (bitwise-identical to serial on fixed seeds; affects wall-clock
     # only, never the trajectory)
     executor: str = "serial"
@@ -136,11 +136,6 @@ class ExperimentConfig:
     # pricing.  "fp64" (default) is a lossless passthrough; "fp32"/"fp16"
     # model the cast of a narrow wire and halve/quarter every transfer.
     wire_dtype: str = "fp64"
-
-    # Device construction: "eager" builds every replica up front,
-    # "lazy" defers each until first touched (bitwise-identical
-    # trajectories — only setup cost and memory differ).
-    materialisation: str = "eager"
 
     # CommVolumeAccountant memory mode: "exact" keeps per-transfer
     # records, "aggregate" keeps only running totals (same snapshot()).
@@ -363,7 +358,6 @@ class ExperimentConfig:
             wire=self.wire_dtype,
             link_faults=link_faults,
             retry_policy=retry_policy,
-            materialisation=self.materialisation,
         )
 
     def hadfl_params(self) -> HADFLParams:

@@ -1,4 +1,4 @@
-"""Weight initialisation schemes (Kaiming / Xavier / constants).
+"""Weight initialisation schemes (Kaiming / constants).
 
 All initialisers take an explicit ``rng`` so that model construction is
 fully deterministic given a seed — a requirement for the federated
@@ -44,16 +44,6 @@ def kaiming_uniform(
     rng = rng or np.random.default_rng()
     fan_in, _ = _fan_in_out(shape)
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(
-    shape: Tuple[int, ...], rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
-    # repro: allow[det-unseeded-rng] a fixed fallback seed would correlate unseeded layers
-    rng = rng or np.random.default_rng()
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from repro.autograd import Tensor, fleet_softmax_cross_entropy, no_grad
-from repro.comm.params import FlatParamCodec, ParamArena
+from repro.comm.params import ParamArena
 from repro.comm.wire import WireFormat, WireSpec, get_wire_format
 from repro.data.dataset import Dataset, Subset
 from repro.data.loader import BatchCycler
@@ -84,7 +84,7 @@ class SimulatedCluster:
         shuffles all derive from it deterministically.
     executor:
         Local-training execution backend: ``"serial"`` (default),
-        ``"thread"``, ``"process"``, or a ready
+        ``"process"``, ``"fleet"``, or a ready
         :class:`~repro.sim.executor.LocalExecutor` instance.  Every
         backend is bitwise-identical to serial on fixed seeds.
     executor_workers:
@@ -100,15 +100,6 @@ class SimulatedCluster:
         network model, which is aligned automatically).  The default
         lossless fp64 wire leaves trajectories bitwise identical to a
         simulator with no wire layer.
-    materialisation:
-        ``"eager"`` (default) builds every device replica at
-        construction; ``"lazy"`` defers each device until first touched
-        (via ``devices[i]``, ``device_by_id`` or iteration), so setup
-        cost and memory scale with the devices a run actually exercises.
-        Every per-device random draw derives from ``SeedSequence([seed,
-        device_id])`` — independent of construction *order* — so lazy
-        trajectories are bitwise identical to eager on fixed seeds
-        (pinned by ``tests/test_population.py``).
     """
 
     def __init__(
@@ -130,13 +121,7 @@ class SimulatedCluster:
         wire: WireSpec = None,
         link_faults: Optional[LinkFaultModel] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        materialisation: str = "eager",
     ) -> None:
-        if materialisation not in ("eager", "lazy"):
-            raise ValueError(
-                "materialisation must be one of eager/lazy, "
-                f"got {materialisation!r}"
-            )
         if not specs:
             raise ValueError("need at least one device spec")
         ids = [s.device_id for s in specs]
@@ -180,8 +165,7 @@ class SimulatedCluster:
         # a single vectorized write instead of a per-parameter unflatten.
         # No grad storage: this replica only ever runs forward passes.
         self._eval_arena = ParamArena(self._eval_model, bind_grads=False)
-        self.codec = FlatParamCodec(self._eval_model)
-        self.initial_params = self.codec.flatten(self._eval_model)
+        self.initial_params = self._eval_arena.snapshot()
         # Payload-aware model wire size: width × scalars for plain
         # casts, the quantiser's own size law (chunk scales, top-k
         # survivor pairs) otherwise.
@@ -224,22 +208,16 @@ class SimulatedCluster:
         self._batch_size = batch_size
         self._shard_spec = self._make_shard_spec(partition, dirichlet_alpha)
         self._id_to_index = {s.device_id: i for i, s in enumerate(self.specs)}
-        self.materialisation = materialisation
-        if materialisation == "eager":
-            self._devices: Sequence[Device] = [
-                self._build_device(i) for i in range(len(self.specs))
-            ]
-        else:
-            self._devices = _LazyDeviceList(self)
+        self.devices: List[Device] = [
+            self._build_device(i) for i in range(len(self.specs))
+        ]
 
     # ------------------------------------------------------------------ #
     def _build_device(self, index: int) -> Device:
-        """Construct device ``index`` exactly as the eager loop always has.
+        """Construct device ``index``.
 
         Every random draw derives from the master seed and the device's
-        *id* (never from how many devices were built before), so a
-        device materialised lazily in any order is bitwise identical to
-        its eager twin.
+        *id*, never from how many devices were built before.
         """
         spec = self.specs[index]
         device_rng = np.random.default_rng(
@@ -291,27 +269,6 @@ class SimulatedCluster:
 
     # ------------------------------------------------------------------ #
     @property
-    def devices(self) -> Sequence[Device]:
-        """Device replicas — a plain list when eager, a caching lazy
-        sequence otherwise (identical devices either way)."""
-        return self._devices
-
-    def _materialised(self) -> List[Device]:
-        """Already-built devices only — never triggers materialisation.
-
-        Lazy aggregate queries run over this: an unmaterialised device
-        is *by construction* still in its initial state (version 0,
-        nothing consumed), so skipping it changes no aggregate.
-        """
-        if isinstance(self._devices, _LazyDeviceList):
-            return self._devices.materialised()
-        return list(self._devices)
-
-    @property
-    def materialised_count(self) -> int:
-        return len(self._materialised())
-
-    @property
     def device_ids(self) -> List[int]:
         return [s.device_id for s in self.specs]
 
@@ -319,7 +276,7 @@ class SimulatedCluster:
         index = self._id_to_index.get(device_id)
         if index is None:
             raise KeyError(f"no device with id {device_id}")
-        return self._devices[index]
+        return self.devices[index]
 
     def alive_devices(self, time: float) -> List[Device]:
         return [
@@ -335,7 +292,7 @@ class SimulatedCluster:
         return self.executor.run_tasks(self, tasks)
 
     def close(self) -> None:
-        """Release executor resources (worker processes / thread pools).
+        """Release executor resources (the process backend's workers).
 
         Safe to call repeatedly; the cluster stays usable — parallel
         backends rebuild their pools lazily on the next batch.
@@ -352,16 +309,11 @@ class SimulatedCluster:
         With the paper's even 4-way split, one global epoch corresponds to
         every device finishing one pass over its shard.
         """
-        consumed = sum(d.cycler.samples_consumed for d in self._materialised())
+        consumed = sum(d.cycler.samples_consumed for d in self.devices)
         return consumed / self.total_train_samples
 
     def mean_local_version(self) -> float:
-        # Unmaterialised devices are at version 0 by construction; the
-        # zeros participate in the mean so lazy and eager agree bitwise.
-        versions = [0] * len(self.specs)
-        for device in self._materialised():
-            versions[self._id_to_index[device.device_id]] = device.version
-        return float(np.mean(versions))
+        return float(np.mean([d.version for d in self.devices]))
 
     # ------------------------------------------------------------------ #
     def evaluate_params(
@@ -369,9 +321,9 @@ class SimulatedCluster:
     ) -> Tuple[float, float]:
         """Test-set (loss, accuracy) of a flat parameter vector.
 
-        Loads the vector with one vectorized arena write — no
-        per-parameter codec round-trip (the values land bitwise
-        identically either way; ``tests/test_fleet.py`` pins it).
+        Loads the vector with one vectorized arena write; every
+        parameter and buffer reads back bitwise (``tests/test_fleet.py``
+        pins it).
         """
         self._eval_arena.write(flat)
         self._eval_model.eval()
@@ -558,49 +510,12 @@ class SimulatedCluster:
         return np.mean([d.get_params_view() for d in targets], axis=0)
 
     def reset(self) -> None:
-        """Restore every device to the initial model and zero the clocks.
-
-        Lazy clusters reset only materialised devices — the rest never
-        left their initial state (cycler and RNG positions are *not*
-        reset in eager mode either, so the semantics match exactly).
-        """
-        for device in self._materialised():
+        """Restore every device to the initial model and zero the clocks
+        (cycler and RNG positions are *not* reset)."""
+        for device in self.devices:
             device.set_params(self._initial_payload)
             device.version = 0
             device.busy_until = 0.0
             if hasattr(device.optimizer, "reset_state"):
                 device.optimizer.reset_state()
 
-
-class _LazyDeviceList(Sequence):
-    """Sequence view over a lazy cluster's devices.
-
-    Indexing (and iteration, via the Sequence protocol) materialises the
-    requested device through :meth:`SimulatedCluster._build_device` and
-    caches it, so each device is built exactly once and repeated access
-    is a dict hit.  Identity is stable: ``devices[i] is devices[i]``.
-    """
-
-    def __init__(self, cluster: SimulatedCluster) -> None:
-        self._cluster = cluster
-        self._cache: Dict[int, Device] = {}
-
-    def __len__(self) -> int:
-        return len(self._cluster.specs)
-
-    def __getitem__(self, index):  # type: ignore[override]
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(f"device index {index} out of range")
-        device = self._cache.get(index)
-        if device is None:
-            device = self._cluster._build_device(index)
-            self._cache[index] = device
-        return device
-
-    def materialised(self) -> List[Device]:
-        """Built devices in spec order, without building any more."""
-        return [self._cache[i] for i in sorted(self._cache)]

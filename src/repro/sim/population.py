@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.autograd import Tensor, no_grad
-from repro.comm.params import FlatParamCodec, ParamArena
+from repro.comm.params import ParamArena
 from repro.comm.ring_repair import FaultTolerantRingSync
 from repro.comm.volume import CommVolumeAccountant
 from repro.comm.wire import WireFormat, WireSpec, get_wire_format
@@ -284,7 +284,7 @@ class VirtualPopulation:
     arena pool, the persistence ledger for devices that already
     participated, and the shared evaluation replica.  Duck-types the
     slice of the cluster API the executors need (``device_by_id``), so
-    the serial/thread/fleet backends run population bursts unchanged.
+    the serial and fleet backends run population bursts unchanged.
 
     Parameters mirror :class:`~repro.sim.cluster.SimulatedCluster`
     where they overlap; ``pool_capacity`` bounds concurrently
@@ -329,11 +329,10 @@ class VirtualPopulation:
         )
 
         # Shared evaluation replica + initial model, exactly as the
-        # eager cluster builds them.
+        # cluster builds them.
         self._eval_model = model_factory(np.random.default_rng(seed))
         self._eval_arena = ParamArena(self._eval_model, bind_grads=False)
-        self.codec = FlatParamCodec(self._eval_model)
-        self.initial_params = self.codec.flatten(self._eval_model)
+        self.initial_params = self._eval_arena.snapshot()
         self.model_nbytes = self.wire.payload_nbytes(self.initial_params)
         self._loss_fn = CrossEntropyLoss()
         self._initial_payload, _ = self.wire.transmit_delta_with_error(
@@ -392,7 +391,7 @@ class VirtualPopulation:
         A first-time participant starts from the template (initial
         payload, fresh optimizer, construction RNG streams) with its
         deterministic per-device seeds — the same ``SeedSequence([seed,
-        device_id])`` derivation the eager cluster uses.  A returning
+        device_id])`` derivation the cluster uses.  A returning
         participant additionally restores its persisted training state,
         so its local trajectory continues where it left off.
         """
@@ -491,7 +490,7 @@ class PopulationTrainer:
     selection_sigma:
         Kernel width of Eq. 8, in spread units.
     executor:
-        ``"serial"``, ``"thread"`` or ``"fleet"`` — the process backend
+        ``"serial"`` or ``"fleet"`` — the process backend
         needs a full device list and is not supported for populations.
     accounting:
         Accountant mode; defaults to ``"aggregate"`` (bounded memory).
@@ -538,7 +537,7 @@ class PopulationTrainer:
         if isinstance(executor, str) and executor == "process":
             raise ValueError(
                 "the process executor ships a full device list and is not "
-                "supported for virtual populations; use serial/thread/fleet"
+                "supported for virtual populations; use serial/fleet"
             )
         if aggregation not in AGGREGATION_MODES:
             raise ValueError(

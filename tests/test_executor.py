@@ -24,13 +24,15 @@ from repro.parallel import (
 )
 from repro.sim import (
     FailureInjector,
+    FleetExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process", "fleet")
+# Every backend but the serial reference.
+OTHERS = BACKENDS[1:]
 
 
 def _config(**overrides):
@@ -100,7 +102,7 @@ class TestHADFLParity:
     def test_fixed_seed_run_identical_across_backends(self):
         ref = _run_hadfl(_config(executor="serial"))
         assert len(ref[0].rounds) >= 2
-        for backend in ("thread", "process"):
+        for backend in OTHERS:
             other = _run_hadfl(_config(executor=backend))
             _assert_bitwise_equal(ref, other, backend)
 
@@ -109,7 +111,7 @@ class TestHADFLParity:
         each deadline burst) from the device RNG — the stream must
         round-trip through the workers exactly."""
         ref = _run_hadfl(_config(executor="serial", jitter=0.2, seed=5))
-        for backend in ("thread", "process"):
+        for backend in OTHERS:
             other = _run_hadfl(_config(executor=backend, jitter=0.2, seed=5))
             _assert_bitwise_equal(ref, other, backend)
 
@@ -131,24 +133,9 @@ class TestHADFLParity:
         # round 1 with fewer steps than its equal-power peer.
         last = ref[0].rounds[-1].versions
         assert last[0] < last[1]
-        for backend in ("thread", "process"):
+        for backend in OTHERS:
             other = _run_hadfl(config(backend), failure_injector=injector())
             _assert_bitwise_equal(ref, other, backend)
-
-    def test_params_executor_overrides_cluster(self):
-        config = _config()
-        cluster = config.make_cluster()
-        params = config.hadfl_params()
-        params.executor = "thread"
-        params.executor_workers = 2
-        trainer = HADFLTrainer(cluster, params=params, seed=config.seed)
-        assert isinstance(trainer.executor, ThreadExecutor)
-        assert trainer.executor is not cluster.executor
-        result = trainer.run(target_epochs=2.0)
-        trainer.close()
-        cluster.close()
-        ref = _run_hadfl(_config(target_epochs=2.0))
-        np.testing.assert_array_equal(ref[0].train_losses(), result.train_losses())
 
 
 class TestBaselineParity:
@@ -159,7 +146,7 @@ class TestBaselineParity:
             for backend in BACKENDS
         }
         ref = runs["serial"]
-        for backend in ("thread", "process"):
+        for backend in OTHERS:
             np.testing.assert_array_equal(
                 ref.train_losses(), runs[backend].train_losses(), err_msg=backend
             )
@@ -208,7 +195,7 @@ class TestDropoutParity:
             cluster.run_local_tasks(tasks)
             cluster.close()
         ref = clusters["serial"]
-        for backend in ("thread", "process"):
+        for backend in OTHERS:
             for ref_device, device in zip(ref.devices, clusters[backend].devices):
                 np.testing.assert_array_equal(
                     ref_device.get_params(), device.get_params(), err_msg=backend
@@ -289,9 +276,9 @@ class TestExecutorInterface:
     def test_make_executor_resolution(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread", 2), ThreadExecutor)
-        assert isinstance(make_executor("process"), ProcessExecutor)
-        instance = ThreadExecutor(3)
+        assert isinstance(make_executor("process", 2), ProcessExecutor)
+        assert isinstance(make_executor("fleet"), FleetExecutor)
+        instance = ProcessExecutor(3)
         assert make_executor(instance) is instance
         with pytest.raises(ValueError):
             make_executor("gpu")
@@ -314,7 +301,7 @@ class TestExecutorInterface:
         assert proc.returncode == 0, proc.stderr
 
     def test_empty_batch(self):
-        config = _config(executor="thread")
+        config = _config(executor="process")
         cluster = config.make_cluster()
         assert cluster.run_local_tasks([]) == {}
         cluster.close()

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import HADFLTrainer
+from repro.core import GroupedHADFLTrainer, HADFLTrainer
 from repro.experiments import ExperimentConfig, run_scheme
 from repro.experiments.population import PopulationConfig, run_population
 from repro.parallel import LocalTrainTask
@@ -133,7 +133,6 @@ class TestSyncParity:
             )
             assert _digest(optimizer_state) == golden["optimizer_digest"]
         finally:
-            trainer.close()
             cluster.close()
 
     def test_population_bitwise_matches_pre_refactor(self):
@@ -181,7 +180,6 @@ class TestModeReproducibility:
                     (trainer.global_params.tobytes(), _series(result))
                 )
             finally:
-                trainer.close()
                 cluster.close()
         assert fingerprints[0] == fingerprints[1]
 
@@ -211,12 +209,16 @@ class TestModeReproducibility:
 # --------------------------------------------------------------------- #
 # Byte conservation in every mode
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("mode", ("sync",) + ASYNC_MODES)
+ALL_MODES = ("sync",) + ASYNC_MODES
+
+
 class TestAccountingInvariant:
+    @pytest.mark.parametrize("mode", ALL_MODES)
     def test_hadfl(self, mode):
         result = run_scheme("hadfl", _hadfl_config(aggregation=mode))
         _assert_accounting_invariant(result)
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
     def test_population(self, mode):
         result = run_population(
             _population_config(rounds=4, aggregation=mode)
@@ -229,6 +231,25 @@ class TestAccountingInvariant:
             )
             == 0
         )
+
+    def test_grouped_hadfl(self):
+        config = _hadfl_config(power_ratio=(4, 2, 2, 1, 4, 2), seed=1)
+        cluster = config.make_cluster()
+        trainer = GroupedHADFLTrainer(
+            cluster, params=config.hadfl_params(), groups=2, seed=config.seed
+        )
+        try:
+            result = trainer.run(target_epochs=config.target_epochs)
+        finally:
+            cluster.close()
+        _assert_accounting_invariant(result)
+        # Every transfer of the grouped protocol is on the books.
+        assert set(result.config["accounting"]["bytes_by_kind"]) == {
+            "initial_dispatch",
+            "intra_group_sync",
+            "broadcast",
+            "inter_group_sync",
+        }
 
 
 # --------------------------------------------------------------------- #
@@ -243,7 +264,7 @@ class TestExecutorInvariance:
     @settings(max_examples=8, deadline=None)
     def test_arrival_order_matches_serial(self, budgets):
         sequences = []
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "fleet"):
             config = _hadfl_config(executor=backend)
             cluster = config.make_cluster()
             try:

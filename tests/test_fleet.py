@@ -22,7 +22,7 @@ import pytest
 
 from repro.autograd import Tensor, softmax_cross_entropy
 from repro.autograd.ops import fleet_softmax_cross_entropy
-from repro.comm.params import ArenaSlot, FleetArena, FlatParamCodec, ParamArena
+from repro.comm.params import ArenaSlot, FleetArena, ParamArena
 from repro.core import HADFLTrainer
 from repro.experiments import ExperimentConfig
 from repro.nn.fleet import FleetModule, fleet_capable
@@ -496,13 +496,14 @@ class TestExecutorInterface:
             cluster.run_local_tasks(tasks)
         cluster.close()
 
-    def test_hadfl_params_accept_fleet(self):
-        from repro.core.config import HADFLParams
-
-        params = HADFLParams(executor="fleet")
-        assert params.executor == "fleet"
+    def test_hadfl_trainer_uses_cluster_fleet_executor(self):
+        config = _config(executor="fleet")
+        cluster = config.make_cluster()
+        trainer = HADFLTrainer(cluster, params=config.hadfl_params())
+        assert isinstance(trainer.executor, FleetExecutor)
+        assert trainer.executor is cluster.executor
         with pytest.raises(ValueError):
-            HADFLParams(executor="warp")
+            _config(executor="warp").make_cluster()
 
 
 # ---------------------------------------------------------------------- #
@@ -519,13 +520,14 @@ class TestEvaluationPaths:
 
     def test_evaluate_params_arena_write_matches_codec_route(self):
         """Regression: the vectorized arena write loads a flat vector
-        bitwise identically to the per-parameter codec unflatten."""
+        bitwise into every parameter and buffer, read back one by one."""
         cluster = self._cluster()
         flat = cluster.devices[1].get_params()
         via_arena = cluster.evaluate_params(flat, batch_size=32)
-        codec = FlatParamCodec(cluster._eval_model)
-        codec.unflatten(cluster._eval_model, flat)
-        assert codec.flatten(cluster._eval_model).tobytes() == flat.tobytes()
+        model = cluster._eval_model
+        chunks = [p.data.reshape(-1) for _, p in model.named_parameters()]
+        chunks.extend(b.reshape(-1) for _, b in model.named_buffers())
+        assert np.concatenate(chunks).tobytes() == flat.tobytes()
         assert cluster.evaluate_params(flat, batch_size=32) == via_arena
         cluster.close()
 

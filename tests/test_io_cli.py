@@ -14,7 +14,7 @@ from repro.data.transforms import (
     random_crop,
     random_horizontal_flip,
 )
-from repro.experiments import ExperimentConfig, run_scheme
+from repro.experiments import RUNNABLE_SCHEMES, ExperimentConfig, run_scheme
 from repro.metrics import RoundRecord, RunResult
 from repro.nn import models
 
@@ -188,7 +188,7 @@ class TestCentralizedFedAvg:
     def test_reachable_through_run_scheme(self):
         config = _tiny_config()
         result = run_scheme("central_fedavg", config)
-        assert result.scheme == "centralized_fedavg"
+        assert result.scheme == "central_fedavg"
         assert result.rounds and result.best_accuracy() > 0.3
         # Byte conservation: per-round bytes plus the initial dispatch
         # add up to the accountant's total.
@@ -202,6 +202,11 @@ class TestCentralizedFedAvg:
 
         assert "central_fedavg" in RUNNABLE_SCHEMES
         assert "central_fedavg" not in SCHEMES
+
+    @pytest.mark.parametrize("scheme", RUNNABLE_SCHEMES)
+    def test_result_label_is_the_runnable_scheme_name(self, scheme):
+        config = _tiny_config(target_epochs=1.0)
+        assert run_scheme(scheme, config).scheme == scheme
 
 
 class TestCLI:

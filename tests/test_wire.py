@@ -29,7 +29,6 @@ from repro.comm.wire import (
     register_wire_format,
 )
 from repro.core import HADFLTrainer
-from repro.core.config import HADFLParams
 from repro.experiments import ExperimentConfig, run_scheme
 from repro.sim import NetworkModel
 
@@ -150,7 +149,7 @@ class TestUnifiedPricing:
         cfg = _config()
         cluster = cfg.make_cluster()
         # Model wire size.
-        assert cluster.model_nbytes == cluster.codec.num_scalars * 8
+        assert cluster.model_nbytes == cluster.devices[0].arena.num_scalars * 8
         # Network segment granularity.
         assert cluster.network.bytes_per_scalar == 8
         # All-reduce byte accounting.
@@ -166,7 +165,7 @@ class TestUnifiedPricing:
     def test_narrow_wire_prices_follow(self, wire_dtype, width):
         cfg = _config(wire_dtype=wire_dtype)
         cluster = cfg.make_cluster()
-        assert cluster.model_nbytes == cluster.codec.num_scalars * width
+        assert cluster.model_nbytes == cluster.devices[0].arena.num_scalars * width
         assert cluster.network.bytes_per_scalar == width
         assert cluster.wire.bytes_per_scalar == width
 
@@ -266,25 +265,24 @@ class TestCastAtBoundaries:
                 received, sent.astype(np.float32).astype(np.float64)
             )
 
-    def test_hadfl_params_rejects_unknown_wire(self):
+    def test_cluster_rejects_unknown_wire(self):
         with pytest.raises(ValueError):
-            HADFLParams(wire_dtype="int8")
+            _config(wire_dtype="int8").make_cluster()
 
-    def test_trainer_wire_override_redispatches(self):
-        """HADFLParams.wire_dtype overrides the cluster wire: devices
-        start from the override's cast and pricing follows it, down to
-        the time model's segment granularity."""
-        cfg = _config()
-        cluster = cfg.make_cluster()  # fp64 cluster
-        trainer = HADFLTrainer(
-            cluster,
-            params=HADFLParams(wire_dtype="fp32"),
-            seed=cfg.seed,
-        )
-        assert trainer.model_nbytes == cluster.codec.num_scalars * 4
-        # The trainer re-aligns its own time model; the cluster's stays.
+    def test_trainer_follows_cluster_wire(self):
+        """The trainer prices and casts with the cluster's wire: devices
+        start from its cast and pricing follows it, down to the time
+        model's segment granularity."""
+        cfg = _config(wire_dtype="fp32")
+        cluster = cfg.make_cluster()
+        trainer = HADFLTrainer(cluster, params=cfg.hadfl_params(), seed=cfg.seed)
+        assert trainer.model_nbytes == cluster.devices[0].arena.num_scalars * 4
         assert trainer.network.bytes_per_scalar == 4
-        assert cluster.network.bytes_per_scalar == 8
+        expected_initial = cluster.initial_params.astype(np.float32).astype(
+            np.float64
+        )
+        for device in cluster.devices:
+            np.testing.assert_array_equal(device.get_params(), expected_initial)
         result = trainer.run(target_epochs=2.0)
         assert result.config["wire_dtype"] == "fp32"
         assert result.config["model_nbytes"] == trainer.model_nbytes
@@ -292,25 +290,17 @@ class TestCastAtBoundaries:
             r.detail.get("wire_cast_error", 0.0) for r in result.rounds
         ) > 0.0
 
-    def test_grouped_trainer_honours_wire_override(self):
-        """GroupedHADFLTrainer applies the same override semantics."""
+    def test_grouped_trainer_follows_cluster_wire(self):
+        """GroupedHADFLTrainer prices with the cluster's wire too."""
         from repro.core.groups import GroupedHADFLTrainer
 
-        cfg = _config()
-        cluster = cfg.make_cluster()  # fp64 cluster
+        cfg = _config(wire_dtype="fp32", num_selected=1)
+        cluster = cfg.make_cluster()
         trainer = GroupedHADFLTrainer(
-            cluster,
-            params=HADFLParams(wire_dtype="fp32", num_selected=1),
-            groups=2,
-            seed=cfg.seed,
+            cluster, params=cfg.hadfl_params(), groups=2, seed=cfg.seed
         )
-        assert trainer.model_nbytes == cluster.codec.num_scalars * 4
+        assert trainer.model_nbytes == cluster.devices[0].arena.num_scalars * 4
         assert trainer.network.bytes_per_scalar == 4
-        expected_initial = cluster.initial_params.astype(np.float32).astype(
-            np.float64
-        )
-        for device in cluster.devices:
-            np.testing.assert_array_equal(device.get_params(), expected_initial)
         result = trainer.run(target_epochs=2.0)
         assert result.config["wire_dtype"] == "fp32"
         assert all(
